@@ -24,6 +24,8 @@
 #                   processes: byte-identical to single-process, pinned
 #                   digest, and a SIGKILLed worker's shard must requeue
 #                   and converge
+#   make fuzz-smoke every native fuzz target (FuzzUnpack, FuzzStreamParser,
+#                   FuzzAppendName, capture.FuzzReader) for 10s each
 #   make benchdiff  fresh benchmarks vs checked-in baselines (regression gate)
 #   make ci         exactly what .github/workflows/ci.yml runs
 
@@ -49,7 +51,7 @@ FABRIC_LOG_DIR ?= fabric-smoke-logs
 # the campaign bytes.
 SMOKE_BASELINE := d19bd873ab802eecb15921fb73145c7ca0ae4b5eed4d5b6aa670791ad1557d47
 
-.PHONY: all build test chaos race crash-matrix vet bench bench-sim bench-batch benchdiff profile cover doccheck smoke serve-smoke fabric-smoke ci
+.PHONY: all build test chaos race crash-matrix vet bench bench-sim bench-batch benchdiff profile cover doccheck smoke serve-smoke fabric-smoke fuzz-smoke ci
 
 all: build vet test
 
@@ -182,9 +184,20 @@ fabric-smoke:
 	$(GO) run ./scripts/fabricsmoke -baseline $(SMOKE_BASELINE) \
 		-logdir $(FABRIC_LOG_DIR)
 
+# Fuzz smoke: a short adversarial run of every native fuzz target (plain
+# `go test` only replays their seed corpora). `go test -fuzz` takes one
+# target per invocation, hence one line each. FuzzAppendName is the
+# differential check of the name codec's bulk-copy paths against the
+# byte-at-a-time oracles kept in internal/dnswire/name_test.go.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpack$$' -fuzztime 10s ./internal/dnswire
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamParser$$' -fuzztime 10s ./internal/dnswire
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendName$$' -fuzztime 10s ./internal/dnswire
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/capture
+
 # The CI gauntlet, runnable locally: exactly the blocking jobs of
 # .github/workflows/ci.yml (the workflow adds a non-blocking benchdiff).
-ci: build vet test race chaos crash-matrix doccheck smoke serve-smoke fabric-smoke
+ci: build vet test race chaos crash-matrix doccheck smoke serve-smoke fabric-smoke fuzz-smoke
 
 # CPU and heap profiles for pprof — by default the simulated campaign:
 #   go tool pprof $(PROFILE_DIR)/cpu.out

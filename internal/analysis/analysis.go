@@ -64,8 +64,8 @@ type Accumulator struct {
 
 	// Table VII uniqueness and multiplicity.
 	ipCounts  map[ipv4.Addr]uint64
-	urlCounts map[string]uint64
-	strCounts map[string]uint64
+	urlCounts nameCounts
+	strCounts nameCounts
 	naPackets uint64
 
 	// Malicious analysis (Tables IX, X, geo).
@@ -84,8 +84,8 @@ func NewAccumulator(cfg Config) *Accumulator {
 	return &Accumulator{
 		cfg:        cfg,
 		ipCounts:   make(map[ipv4.Addr]uint64),
-		urlCounts:  make(map[string]uint64),
-		strCounts:  make(map[string]uint64),
+		urlCounts:  make(nameCounts),
+		strCounts:  make(nameCounts),
 		malPackets: make(map[paperdata.MalCategory]uint64),
 		malUnique:  make(map[ipv4.Addr]paperdata.MalCategory),
 		malGeo:     make(map[string]uint64),
@@ -144,10 +144,10 @@ func (a *Accumulator) Merge(b *Accumulator) {
 		a.ipCounts[k] += n
 	}
 	for k, n := range b.urlCounts {
-		a.urlCounts[k] += n
+		a.urlCounts.add(k, *n)
 	}
 	for k, n := range b.strCounts {
-		a.strCounts[k] += n
+		a.strCounts.add(k, *n)
 	}
 	a.naPackets += b.naPackets
 	for k, n := range b.malPackets {
@@ -259,8 +259,7 @@ func (a *Accumulator) addIncorrect(src ipv4.Addr, msg *dnswire.Message, form ans
 	case formIP:
 		a.ipCounts[addr]++
 		if a.cfg.Threat != nil {
-			if rec, ok := a.cfg.Threat.Lookup(addr); ok {
-				cat := rec.Dominant()
+			if cat, ok := a.cfg.Threat.Dominant(addr); ok {
 				a.malPackets[cat]++
 				a.malUnique[addr] = cat
 				if msg.Header.RA {
@@ -285,23 +284,54 @@ func (a *Accumulator) addIncorrect(src ipv4.Addr, msg *dnswire.Message, form ans
 		}
 	case formURL:
 		if t, ok := firstTarget(msg, dnswire.TypeCNAME); ok {
-			bumpCount(a.urlCounts, t)
+			a.urlCounts.add(t, 1)
 		}
 	case formStr:
 		t, _ := firstTarget(msg, dnswire.TypeTXT)
-		bumpCount(a.strCounts, t)
+		a.strCounts.add(t, 1)
 	case formNA:
 		a.naPackets++
 	}
 }
 
-// bumpCount increments m[k] through an owned copy of k: decoded targets
-// alias their message's arena (dnswire.UnpackInto), and a map assignment
-// may install the live key operand even when the key is already present —
-// a lookup-then-clone-on-miss guard is NOT enough to keep aliased bytes
-// out of the map.
-func bumpCount(m map[string]uint64, k string) {
-	m[strings.Clone(k)]++
+// nameCounts is a packet multiplicity per decoded name (CNAME target or
+// TXT payload). Decoded names alias their message's arena
+// (dnswire.UnpackInto), and any map assignment may install the live key
+// operand even when the key is already present, so an aliased key must
+// never be assigned. Counting through a pointer keeps a repeat sighting a
+// pure lookup; only a name's first sighting stores an owned copy.
+type nameCounts map[string]*uint64
+
+// add adds n packets to k, which may alias a decode arena.
+func (c nameCounts) add(k string, n uint64) {
+	if p := c[k]; p != nil {
+		*p += n
+		return
+	}
+	p := new(uint64)
+	*p = n
+	c[strings.Clone(k)] = p
+}
+
+// total sums the packet counts over every name.
+func (c nameCounts) total() uint64 {
+	var t uint64
+	for _, n := range c {
+		t += *n
+	}
+	return t
+}
+
+// plain returns the counts as an ordinary map, nil when empty.
+func (c nameCounts) plain() map[string]uint64 {
+	if len(c) == 0 {
+		return nil
+	}
+	out := make(map[string]uint64, len(c))
+	for k, n := range c {
+		out[k] = *n
+	}
+	return out
 }
 
 func firstTarget(msg *dnswire.Message, t dnswire.Type) (string, bool) {
@@ -377,18 +407,10 @@ func (a *Accumulator) Report(camp CampaignCounts) *Report {
 	for _, n := range a.ipCounts {
 		ipPkts += n
 	}
-	var urlPkts uint64
-	for _, n := range a.urlCounts {
-		urlPkts += n
-	}
-	var strPkts uint64
-	for _, n := range a.strCounts {
-		strPkts += n
-	}
 	r.Forms = paperdata.IncorrectForms{
 		IP:  paperdata.FormCount{Packets: ipPkts, Unique: uint64(len(a.ipCounts))},
-		URL: paperdata.FormCount{Packets: urlPkts, Unique: uint64(len(a.urlCounts))},
-		Str: paperdata.FormCount{Packets: strPkts, Unique: uint64(len(a.strCounts))},
+		URL: paperdata.FormCount{Packets: a.urlCounts.total(), Unique: uint64(len(a.urlCounts))},
+		Str: paperdata.FormCount{Packets: a.strCounts.total(), Unique: uint64(len(a.strCounts))},
 		NA:  paperdata.FormCount{Packets: a.naPackets},
 	}
 

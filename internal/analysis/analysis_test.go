@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -322,5 +323,37 @@ func TestEstimatesWithEmptyInput(t *testing.T) {
 	// Rendering an empty report must not divide by zero.
 	if out := rep.RenderAll(); len(out) == 0 {
 		t.Error("empty render")
+	}
+}
+
+// TestNameCountsSurviveArenaReuse decodes every response into one scratch
+// message, so each decoded CNAME target and TXT payload aliases bytes the
+// next decode overwrites. The counted names must still be the ones seen,
+// and a repeat sighting must not allocate.
+func TestNameCountsSurviveArenaReuse(t *testing.T) {
+	acc := newAcc(t)
+	var scratch dnswire.Message
+	src := ipv4.MustParseAddr("9.9.9.9")
+	answer := func(typ dnswire.Type, target string) []byte {
+		return response("or000.0000001."+sld, func(r *dnswire.Message) {
+			r.Answers = append(r.Answers, dnswire.RR{
+				Name: r.Questions[0].Name, Type: typ, Class: dnswire.ClassIN, TTL: 60, Target: target,
+			})
+		})
+	}
+	for _, target := range []string{"aaa.example", "bbb.example", "aaa.example"} {
+		acc.AddR2Into(src, answer(dnswire.TypeCNAME, target), &scratch)
+		acc.AddR2Into(src, answer(dnswire.TypeTXT, target), &scratch)
+	}
+	want := map[string]uint64{"aaa.example": 2, "bbb.example": 1}
+	st := acc.State()
+	for label, got := range map[string]map[string]uint64{"url": st.URLCounts, "str": st.StrCounts} {
+		if !maps.Equal(got, want) {
+			t.Errorf("%s counts = %v, want %v", label, got, want)
+		}
+	}
+	wire := answer(dnswire.TypeCNAME, "bbb.example")
+	if n := testing.AllocsPerRun(100, func() { acc.AddR2Into(src, wire, &scratch) }); n != 0 {
+		t.Errorf("repeat CNAME target allocates %.1f times per packet, want 0", n)
 	}
 }

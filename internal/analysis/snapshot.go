@@ -67,18 +67,8 @@ func (a *Accumulator) State() *AccumulatorState {
 			st.IPCounts[k] = v
 		}
 	}
-	if len(a.urlCounts) > 0 {
-		st.URLCounts = make(map[string]uint64, len(a.urlCounts))
-		for k, v := range a.urlCounts {
-			st.URLCounts[k] = v
-		}
-	}
-	if len(a.strCounts) > 0 {
-		st.StrCounts = make(map[string]uint64, len(a.strCounts))
-		for k, v := range a.strCounts {
-			st.StrCounts[k] = v
-		}
-	}
+	st.URLCounts = a.urlCounts.plain()
+	st.StrCounts = a.strCounts.plain()
 	if len(a.malPackets) > 0 {
 		st.MalPackets = make(map[paperdata.MalCategory]uint64, len(a.malPackets))
 		for k, v := range a.malPackets {
@@ -123,10 +113,10 @@ func NewAccumulatorFromState(cfg Config, st *AccumulatorState) *Accumulator {
 		a.ipCounts[k] = v
 	}
 	for k, v := range st.URLCounts {
-		a.urlCounts[k] = v
+		a.urlCounts.add(k, v)
 	}
 	for k, v := range st.StrCounts {
-		a.strCounts[k] = v
+		a.strCounts.add(k, v)
 	}
 	for k, v := range st.MalPackets {
 		a.malPackets[k] = v

@@ -335,11 +335,7 @@ var malformedRDATA = []byte{0x00, 0x00}
 // The encoded bytes are identical to BuildResponse's (an omitted question
 // section is length-0 rather than nil, which encodes the same).
 func BuildResponseInto(resp *dnswire.Message, q *dnswire.Message, p Profile, res dnssrv.Result) {
-	resp.Header = dnswire.Header{ID: q.Header.ID, QR: true, RD: q.Header.RD}
-	resp.Questions = append(resp.Questions[:0], q.Questions...)
-	resp.Answers = resp.Answers[:0]
-	resp.Authority = resp.Authority[:0]
-	resp.Additional = resp.Additional[:0]
+	dnswire.NewResponseInto(resp, q)
 	resp.Header.RA = p.RA
 	resp.Header.AA = p.AA
 	resp.Header.Rcode = p.Rcode

@@ -384,3 +384,36 @@ func TestPropertyBuildResponseInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkBuildResponseInto measures the synthetic engine's response
+// builder plus its wire encode, per answer kind, into reused scratch:
+// `go test -run '^$' -bench BuildResponseInto -benchmem ./internal/behavior`.
+func BenchmarkBuildResponseInto(b *testing.B) {
+	q := dnswire.NewQuery(7, "or003.0001234.ucfsealresearch.net", dnswire.TypeA)
+	truth := dnssrv.Result{Addr: dnssrv.TruthAddr(q.Questions[0].Name), Rcode: dnswire.RcodeNoError, OK: true}
+	for _, c := range []struct {
+		name string
+		p    Profile
+		res  dnssrv.Result
+	}{
+		{"truth", Honest(1), truth},
+		{"fixed", Manipulator(ipv4.MustParseAddr("208.91.197.91")), dnssrv.Result{}},
+		{"cname", Profile{RA: true, Answer: AnswerCNAME, Name: "ad-redirect.example-hosting.com"}, dnssrv.Result{}},
+		{"txt", Profile{RA: true, Answer: AnswerTXT, Name: "blocked by policy"}, dnssrv.Result{}},
+		{"malformed", Profile{Answer: AnswerMalformed}, dnssrv.Result{}},
+		{"none", Refuser(), dnssrv.Result{}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var resp dnswire.Message
+			buf := make([]byte, 0, 512)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildResponseInto(&resp, q, c.p, c.res)
+				var err error
+				if buf, err = resp.Append(buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"openresolver/internal/analysis"
 	"openresolver/internal/behavior"
@@ -319,8 +320,8 @@ func planShards(pop *population.Population, total uint64, n int) []shardPlan {
 // synthWorker holds one worker's streaming state: its accumulator, its
 // assigner cursors, and the scratch buffers the per-probe path reuses —
 // query and response messages, the encode buffer, the qname builder, and
-// the decode message — so steady-state synthesis allocates only the qname
-// string and the decoder's name strings per probe.
+// the decode message — so a steady-state probe allocates nothing: the
+// qname aliases the builder and decoded names alias the decode arena.
 type synthWorker struct {
 	clusterSize uint64
 	assigner    *population.Assigner
@@ -367,7 +368,14 @@ func (w *synthWorker) probe(cohort *population.Cohort, g uint64) error {
 	}
 	w.name = dnssrv.AppendProbeName(w.name[:0],
 		int(g/w.clusterSize), int(g%w.clusterSize), paperdata.SLD)
-	qname := dnswire.CanonicalName(string(w.name))
+	// AppendProbeName emits canonical names (lowercase, no trailing dot;
+	// TestProbeNameCanonical pins it), so the qname is used as built. It
+	// aliases w.name rather than copying it: the next probe rewrites those
+	// bytes, which is safe because everything that sees the qname — the
+	// query, the response, TruthAddr — is dead once this probe returns.
+	// The accumulator only ever sees names decoded from w.buf into
+	// w.decoded's arena, never this string.
+	qname := unsafe.String(unsafe.SliceData(w.name), len(w.name))
 	w.query.Header = dnswire.Header{ID: ProbeQID(g), RD: true}
 	w.query.Questions = append(w.query.Questions[:0],
 		dnswire.Question{Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassIN})

@@ -108,6 +108,10 @@ func (m *Message) MustPack() []byte {
 	return b
 }
 
+// appendRR encodes one resource record. Explicit RDATA (rr.Data) is
+// copied; otherwise the RDATA is synthesized from the decoded fields
+// straight into dst behind a placeholder RDLENGTH that is backpatched once
+// the RDATA is written, so the encode path allocates nothing.
 func appendRR(dst []byte, rr *RR) ([]byte, error) {
 	var err error
 	if dst, err = appendName(dst, rr.Name); err != nil {
@@ -117,35 +121,37 @@ func appendRR(dst []byte, rr *RR) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(rr.Class))
 	dst = binary.BigEndian.AppendUint32(dst, rr.TTL)
 
-	rdata := rr.Data
-	if rdata == nil {
-		// Synthesize RDATA from the decoded fields.
-		switch rr.Type {
-		case TypeA:
-			rdata = binary.BigEndian.AppendUint32(nil, rr.A)
-		case TypeNS, TypeCNAME, TypePTR:
-			if rdata, err = appendName(nil, rr.Target); err != nil {
-				return nil, fmt.Errorf("rr %q rdata: %w", rr.Name, err)
-			}
-		case TypeMX:
-			rdata = binary.BigEndian.AppendUint16(nil, rr.Pref)
-			if rdata, err = appendName(rdata, rr.Target); err != nil {
-				return nil, fmt.Errorf("rr %q rdata: %w", rr.Name, err)
-			}
-		case TypeTXT:
-			if len(rr.Target) > 255 {
-				return nil, fmt.Errorf("rr %q: %w", rr.Name, ErrRDataTooLong)
-			}
-			rdata = append([]byte{byte(len(rr.Target))}, rr.Target...)
-		default:
-			rdata = []byte{}
+	if rr.Data != nil {
+		if len(rr.Data) > 0xFFFF {
+			return nil, fmt.Errorf("rr %q: %w", rr.Name, ErrRDataTooLong)
 		}
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(rr.Data)))
+		return append(dst, rr.Data...), nil
 	}
-	if len(rdata) > 0xFFFF {
-		return nil, fmt.Errorf("rr %q: %w", rr.Name, ErrRDataTooLong)
+	lenPos := len(dst)
+	dst = append(dst, 0, 0)
+	switch rr.Type {
+	case TypeA:
+		dst = binary.BigEndian.AppendUint32(dst, rr.A)
+	case TypeNS, TypeCNAME, TypePTR:
+		if dst, err = appendName(dst, rr.Target); err != nil {
+			return nil, fmt.Errorf("rr %q rdata: %w", rr.Name, err)
+		}
+	case TypeMX:
+		dst = binary.BigEndian.AppendUint16(dst, rr.Pref)
+		if dst, err = appendName(dst, rr.Target); err != nil {
+			return nil, fmt.Errorf("rr %q rdata: %w", rr.Name, err)
+		}
+	case TypeTXT:
+		if len(rr.Target) > 255 {
+			return nil, fmt.Errorf("rr %q: %w", rr.Name, ErrRDataTooLong)
+		}
+		dst = append(dst, byte(len(rr.Target)))
+		dst = append(dst, rr.Target...)
 	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(rdata)))
-	return append(dst, rdata...), nil
+	// Synthesized RDATA is at most 2+255 octets, far below RDLENGTH's limit.
+	binary.BigEndian.PutUint16(dst[lenPos:], uint16(len(dst)-lenPos-2))
+	return dst, nil
 }
 
 // Unpack decodes a wire-format message. Decoding is deliberately tolerant of
@@ -353,7 +359,12 @@ func NewResponse(q *Message) *Message {
 // cleared section is length-0 rather than nil, which packs the same).
 func NewResponseInto(resp, q *Message) {
 	resp.Header = Header{ID: q.Header.ID, QR: true, RD: q.Header.RD}
-	resp.Questions = append(resp.Questions[:0], q.Questions...)
+	resp.Questions = resp.Questions[:0]
+	// Element by element: appending one question is a plain store, where
+	// appending the slice calls runtime.typedslicecopy on every response.
+	for i := range q.Questions {
+		resp.Questions = append(resp.Questions, q.Questions[i])
+	}
 	resp.Answers = resp.Answers[:0]
 	resp.Authority = resp.Authority[:0]
 	resp.Additional = resp.Additional[:0]

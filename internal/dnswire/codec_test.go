@@ -254,10 +254,27 @@ func TestCanonicalName(t *testing.T) {
 		{"www.example.com", "www.example.com"},
 		{"", ""},
 		{"NET", "net"},
+		{".", ""},
+		// An escaped trailing dot belongs to the last label and stays;
+		// the backslash parity decides, exactly as in appendName.
+		{`a\.`, `a\.`},
+		{`A\\.`, `a\\`},
+		{`a\\\.`, `a\\\.`},
+		{`B.a\.`, `b.a\.`},
 	}
 	for _, tt := range tests {
-		if got := CanonicalName(tt.in); got != tt.want {
+		got := CanonicalName(tt.in)
+		if got != tt.want {
 			t.Errorf("CanonicalName(%q) = %q, want %q", tt.in, got, tt.want)
+		}
+		// Canonicalizing never turns an encodable name into a bad one, and
+		// both forms encode to the same labels modulo case.
+		want, err := appendName(nil, tt.in)
+		if err != nil {
+			t.Fatalf("appendName(%q): %v", tt.in, err)
+		}
+		if b, err := appendName(nil, got); err != nil || !bytes.Equal(b, asciiLower(want)) {
+			t.Errorf("appendName(CanonicalName(%q)) = %x, %v; want %x", tt.in, b, err, asciiLower(want))
 		}
 	}
 }

@@ -28,10 +28,27 @@ const (
 // "WWW.Example.COM." and "www.example.com" compare equal. DNS name matching
 // is case-insensitive (RFC 1035 §2.3.3) and the flow-grouping step of the
 // measurement (matching Q1/Q2/R1/R2 by qname) relies on this normalization,
-// including against resolvers that apply 0x20 randomization.
+// including against resolvers that apply 0x20 randomization. An escaped
+// trailing dot ("a\.") is part of the last label, not a separator, and is
+// kept — the same backslash-parity rule appendName applies.
 func CanonicalName(name string) string {
-	name = strings.TrimSuffix(name, ".")
-	return strings.ToLower(name)
+	return strings.ToLower(trimRootDot(name))
+}
+
+// trimRootDot strips one trailing dot if it is a real separator: an even
+// number of backslashes precedes it.
+func trimRootDot(name string) string {
+	if name == "" || name[len(name)-1] != '.' {
+		return name
+	}
+	bs := 0
+	for i := len(name) - 2; i >= 0 && name[i] == '\\'; i-- {
+		bs++
+	}
+	if bs%2 != 0 {
+		return name
+	}
+	return name[:len(name)-1]
 }
 
 // appendName encodes a presentation-form name in uncompressed wire format
@@ -41,34 +58,54 @@ func CanonicalName(name string) string {
 // Compression on output is intentionally not implemented: none of the
 // paper's flows require it and many deployed resolvers never emit pointers
 // either; decoding (below) accepts compressed names from any peer.
+//
+// Names without a backslash — every probe name and nearly every name the
+// simulation encodes — take a bulk path: strings.IndexByte finds each
+// separator and the label is copied whole. Escaped names take the
+// per-octet loop in appendEscapedName. Both validate each label through
+// closeLabel, so they return the same errors; FuzzAppendName holds them to
+// the original byte-at-a-time encoder.
 func appendName(dst []byte, name string) ([]byte, error) {
-	return appendNameAny(dst, name)
+	if name == "" || name == "." {
+		return append(dst, 0), nil
+	}
+	if strings.IndexByte(name, '\\') >= 0 {
+		return appendEscapedName(dst, trimRootDot(name))
+	}
+	// Without a backslash a trailing dot is always a real separator.
+	name = strings.TrimSuffix(name, ".")
+	wireLen := 1 // terminating root octet
+	for rest := name; ; {
+		label, more := rest, false
+		if i := strings.IndexByte(rest, '.'); i >= 0 {
+			label, rest, more = rest[:i], rest[i+1:], true
+		}
+		lenPos := len(dst)
+		dst = append(dst, 0)
+		dst = append(dst, label...)
+		var err error
+		if wireLen, err = closeLabel(dst, lenPos, wireLen); err != nil {
+			return nil, nameErr(err, name)
+		}
+		if !more {
+			return append(dst, 0), nil
+		}
+	}
 }
 
 // appendNameBytes is appendName for names held in byte slices (the zero-
-// alloc probe-name path); the encodings are identical.
+// alloc probe-name path); the encodings are identical. The string view
+// aliases name only for the duration of the call — a plain string(name)
+// conversion would copy it on every probe.
 func appendNameBytes(dst, name []byte) ([]byte, error) {
-	return appendNameAny(dst, name)
+	return appendName(dst, unsafe.String(unsafe.SliceData(name), len(name)))
 }
 
-func appendNameAny[T string | []byte](dst []byte, name T) ([]byte, error) {
-	if len(name) == 0 || (len(name) == 1 && name[0] == '.') {
-		return append(dst, 0), nil
-	}
-	// Trim one trailing dot, but only if it is a real separator (an even
-	// number of backslashes precedes it).
-	if name[len(name)-1] == '.' {
-		bs := 0
-		for i := len(name) - 2; i >= 0 && name[i] == '\\'; i-- {
-			bs++
-		}
-		if bs%2 == 0 {
-			name = name[:len(name)-1]
-		}
-	}
-	// Label bytes go straight into dst behind a placeholder length octet
-	// that is backpatched at each separator: no per-call scratch, no
-	// closure — the hot probe-encode path must stay allocation-free.
+// appendEscapedName is appendName's per-octet path for names containing
+// at least one backslash; name has already lost its trailing separator.
+// Label bytes go straight into dst behind a placeholder length octet that
+// is backpatched at each separator: no per-call scratch, no closure.
+func appendEscapedName(dst []byte, name string) ([]byte, error) {
 	wireLen := 1 // terminating root octet
 	lenPos := len(dst)
 	dst = append(dst, 0)
@@ -77,16 +114,16 @@ func appendNameAny[T string | []byte](dst []byte, name T) ([]byte, error) {
 		switch {
 		case c == '\\':
 			if i+1 >= len(name) {
-				return nil, fmt.Errorf("dnswire: dangling escape in %q", string(name))
+				return nil, fmt.Errorf("dnswire: dangling escape in %q", name)
 			}
 			next := name[i+1]
 			if next >= '0' && next <= '9' {
 				if i+3 >= len(name) || !isDigit(name[i+2]) || !isDigit(name[i+3]) {
-					return nil, fmt.Errorf("dnswire: bad \\DDD escape in %q", string(name))
+					return nil, fmt.Errorf("dnswire: bad \\DDD escape in %q", name)
 				}
 				v := int(next-'0')*100 + int(name[i+2]-'0')*10 + int(name[i+3]-'0')
 				if v > 255 {
-					return nil, fmt.Errorf("dnswire: \\DDD escape %d out of range in %q", v, string(name))
+					return nil, fmt.Errorf("dnswire: \\DDD escape %d out of range in %q", v, name)
 				}
 				dst = append(dst, byte(v))
 				i += 3
@@ -97,7 +134,7 @@ func appendNameAny[T string | []byte](dst []byte, name T) ([]byte, error) {
 		case c == '.':
 			var err error
 			if wireLen, err = closeLabel(dst, lenPos, wireLen); err != nil {
-				return nil, nameErr(err, string(name))
+				return nil, nameErr(err, name)
 			}
 			lenPos = len(dst)
 			dst = append(dst, 0)
@@ -106,7 +143,7 @@ func appendNameAny[T string | []byte](dst []byte, name T) ([]byte, error) {
 		}
 	}
 	if _, err := closeLabel(dst, lenPos, wireLen); err != nil {
-		return nil, nameErr(err, string(name))
+		return nil, nameErr(err, name)
 	}
 	return append(dst, 0), nil
 }
@@ -145,9 +182,17 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 // appendPresentation renders one wire label into presentation form,
 // escaping dots, backslashes and non-printable octets (RFC 1035 §5.1), and
 // lowercasing ASCII letters (names compare case-insensitively and the
-// measurement groups flows by canonical qname).
+// measurement groups flows by canonical qname). The leading run of octets
+// that render as themselves — the whole label, for every name a well-
+// behaved peer sends — is copied in one append; only the rest takes the
+// per-octet escaping loop.
 func appendPresentation(dst []byte, label []byte) []byte {
-	for _, c := range label {
+	i := 0
+	for i < len(label) && plainOctet[label[i]] {
+		i++
+	}
+	dst = append(dst, label[:i]...)
+	for _, c := range label[i:] {
 		switch {
 		case c == '.' || c == '\\':
 			dst = append(dst, '\\', c)
@@ -161,6 +206,15 @@ func appendPresentation(dst []byte, label []byte) []byte {
 	}
 	return dst
 }
+
+// plainOctet marks the label octets appendPresentation copies verbatim:
+// printable ASCII other than '.', '\\' and the uppercase letters.
+var plainOctet = func() (t [256]bool) {
+	for c := 0x21; c <= 0x7E; c++ {
+		t[c] = c != '.' && c != '\\' && (c < 'A' || c > 'Z')
+	}
+	return t
+}()
 
 // arenaString returns m.arena[start:] as a string aliasing the arena's
 // storage — the zero-copy tail of every readName. The string stays valid

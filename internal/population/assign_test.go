@@ -168,3 +168,19 @@ func TestAssignerRejectsImpossibleCountryLoad(t *testing.T) {
 		t.Error("oversized country cohort accepted")
 	}
 }
+
+// TestAvoidPrefilter pins the /16 bitmap in front of the avoid map: it
+// must mark the /16 of every avoided address, or the prefilter would let
+// an avoided address through.
+func TestAvoidPrefilter(t *testing.T) {
+	pop, u := buildScaled(t, paperdata.Y2018, 8)
+	a, err := NewAssigner(u, geo.DefaultRegistry(), pop, ipv4.MustParseAddr("198.41.0.4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for addr := range a.avoid {
+		if w, bit := slash16(addr); a.avoid16[w]&bit == 0 {
+			t.Fatalf("avoided %v not marked in the /16 prefilter", addr)
+		}
+	}
+}

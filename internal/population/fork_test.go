@@ -6,6 +6,7 @@ import (
 	"openresolver/internal/geo"
 	"openresolver/internal/ipv4"
 	"openresolver/internal/paperdata"
+	"openresolver/internal/scan"
 )
 
 // serialAssignments replays the whole population through one assigner,
@@ -114,5 +115,34 @@ func TestAdvanceCountryBounds(t *testing.T) {
 	}
 	if err := a.AdvanceCountry("US", 1<<40); err == nil {
 		t.Error("advancing past the reservation succeeded")
+	}
+}
+
+// BenchmarkAdvanceUnpinned measures the per-draw cost of the serial
+// fast-forward a shard worker runs before its first probe.
+func BenchmarkAdvanceUnpinned(b *testing.B) {
+	pop, err := Build(Config{Year: paperdata.Y2018, SampleShift: 4, Seed: 9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := scan.NewUniverse(9, 4, ipv4.NewReservedBlocklist())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := NewAssigner(u, geo.DefaultRegistry(), pop)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		n := b.N - done
+		if n > 1<<24 {
+			n = 1 << 24
+		}
+		if err := a.Fork().AdvanceUnpinned(uint64(n)); err != nil {
+			b.Fatal(err)
+		}
+		done += n
 	}
 }

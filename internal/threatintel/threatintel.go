@@ -86,6 +86,17 @@ func (db *DB) Lookup(addr ipv4.Addr) (Record, bool) {
 	return out, true
 }
 
+// Dominant returns the dominant category of addr's reports (see
+// Record.Dominant) without Lookup's defensive copy of the report list —
+// the per-packet path of the analysis accumulator.
+func (db *DB) Dominant(addr ipv4.Addr) (paperdata.MalCategory, bool) {
+	rec, ok := db.records[addr]
+	if !ok {
+		return "", false
+	}
+	return rec.Dominant(), true
+}
+
 // Len returns the number of distinct reported addresses.
 func (db *DB) Len() int { return len(db.records) }
 
