@@ -27,6 +27,8 @@
 #   make fuzz-smoke every native fuzz target (FuzzUnpack, FuzzStreamParser,
 #                   FuzzAppendName, capture.FuzzReader) for 10s each
 #   make benchdiff  fresh benchmarks vs checked-in baselines (regression gate)
+#   make perfbench-test  the perfbench harness's own tests (a separate
+#                   module that `go test ./...` never builds)
 #   make ci         exactly what .github/workflows/ci.yml runs
 
 GO ?= go
@@ -51,7 +53,7 @@ FABRIC_LOG_DIR ?= fabric-smoke-logs
 # the campaign bytes.
 SMOKE_BASELINE := d19bd873ab802eecb15921fb73145c7ca0ae4b5eed4d5b6aa670791ad1557d47
 
-.PHONY: all build test chaos race crash-matrix vet bench bench-sim bench-batch benchdiff profile cover doccheck smoke serve-smoke fabric-smoke fuzz-smoke ci
+.PHONY: all build test chaos race crash-matrix vet bench bench-sim bench-batch benchdiff profile cover doccheck smoke serve-smoke fabric-smoke fuzz-smoke perfbench-test ci
 
 all: build vet test
 
@@ -197,7 +199,13 @@ fuzz-smoke:
 
 # The CI gauntlet, runnable locally: exactly the blocking jobs of
 # .github/workflows/ci.yml (the workflow adds a non-blocking benchdiff).
-ci: build vet test race chaos crash-matrix doccheck smoke serve-smoke fabric-smoke fuzz-smoke
+ci: build vet test perfbench-test race chaos crash-matrix doccheck smoke serve-smoke fabric-smoke fuzz-smoke
+
+# perfbench is its own module (it imports this one through a relative
+# replace), so `go test ./...` never compiles it: an internal API change
+# could break the benchmark unseen. It runs offline in about a second.
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
 
 # CPU and heap profiles for pprof — by default the simulated campaign:
 #   go tool pprof $(PROFILE_DIR)/cpu.out

@@ -178,28 +178,25 @@ type Dataset struct {
 	Roles *classify.Summary
 }
 
-// buildDeps constructs the shared dependencies of both modes.
-func buildDeps(cfg Config) (*population.Population, *threatintel.Feed, *geo.Registry, *scan.Universe, error) {
+// buildDeps compiles the population and threat feed both modes start
+// from. The geo registry and scan universe are built by the engines
+// themselves (SynthesizePopulation, openSimCampaign).
+func buildDeps(cfg Config) (*population.Population, *threatintel.Feed, error) {
 	feed := threatintel.NewFeed(cfg.Year, cfg.Seed)
 	pop, err := population.Build(population.Config{
 		Year: cfg.Year, SampleShift: cfg.SampleShift, Seed: cfg.Seed, Feed: feed,
 	})
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
-	reg := geo.DefaultRegistry()
-	u, err := scan.NewUniverse(uint64(cfg.Seed), cfg.SampleShift, ipv4.NewReservedBlocklist())
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return pop, feed, reg, u, nil
+	return pop, feed, nil
 }
 
 // RunSynthetic streams the full campaign through the analysis pipeline:
 // every response is encoded to wire format and decoded back by the
 // analyzer, exercising the identical classification path as the simulation.
 func RunSynthetic(cfg Config) (*Dataset, error) {
-	pop, feed, _, _, err := buildDeps(cfg)
+	pop, feed, err := buildDeps(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +495,7 @@ func syntheticCampaignCounts(cfg Config, pop *population.Population, clusterSize
 
 // RunSimulation executes the campaign on the discrete-event network.
 func RunSimulation(cfg Config) (*Dataset, error) {
-	pop, feed, _, _, err := buildDeps(cfg)
+	pop, feed, err := buildDeps(cfg)
 	if err != nil {
 		return nil, err
 	}

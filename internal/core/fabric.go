@@ -68,7 +68,7 @@ type ShardCampaign struct {
 // shard with a valid checkpoint. Both fabric roles open the campaign this
 // way; the campaign key proves they agree on every byte-shaping input.
 func OpenShardCampaign(cfg Config) (*ShardCampaign, error) {
-	pop, feed, _, _, err := buildDeps(cfg)
+	pop, feed, err := buildDeps(cfg)
 	if err != nil {
 		return nil, err
 	}

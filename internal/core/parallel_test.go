@@ -108,7 +108,7 @@ func TestSyntheticMoreWorkersThanProbes(t *testing.T) {
 }
 
 func TestPlanShardsCoversEveryProbeOnce(t *testing.T) {
-	pop, _, _, _, err := buildDeps(Config{Year: paperdata.Y2018, SampleShift: 10, Seed: 2})
+	pop, _, err := buildDeps(Config{Year: paperdata.Y2018, SampleShift: 10, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

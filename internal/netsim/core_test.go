@@ -91,6 +91,50 @@ func TestUnregisterKeepsStaleNodeUsable(t *testing.T) {
 	}
 }
 
+// TestNodeArenaHandlesSurviveGrowth registers hosts across more than three
+// arena chunks and checks the handle contract at every chunk boundary: a
+// *Node taken before the arena grew past it is still the node Lookup
+// returns, its timers fire and its sends deliver and are received.
+func TestNodeArenaHandlesSurviveGrowth(t *testing.T) {
+	s := New(Config{Seed: 9, Latency: ConstantLatency(time.Millisecond)})
+	const hosts = 3*nodeChunkSize + nodeChunkSize/2
+	from := make(map[ipv4.Addr]ipv4.Addr) // receiver → sender
+	h := HostFunc(func(n *Node, dg Datagram) { from[n.Addr()] = dg.Src })
+	// Hold the first node and the last node of every chunk.
+	var held []*Node
+	for i := 0; i < hosts; i++ {
+		n := s.Register(ipv4.Addr(0x0A000000+uint32(i)), h)
+		if i == 0 || i%nodeChunkSize == nodeChunkSize-1 {
+			held = append(held, n)
+		}
+	}
+	if len(s.nodes) != 4 || len(held) != 4 {
+		t.Fatalf("arena has %d chunks and %d held nodes, want 4 and 4", len(s.nodes), len(held))
+	}
+	fired := 0
+	for i, n := range held {
+		if got, ok := s.Lookup(n.Addr()); !ok || got != n {
+			t.Errorf("Lookup(%v) = %p, %v; handle taken before growth is %p", n.Addr(), got, ok, n)
+		}
+		n.After(time.Millisecond, func() { fired++ })
+		// Each held node sends to the next one, so every held node is both
+		// a sender and a receiver.
+		n.Send(held[(i+1)%len(held)].Addr(), 1, 2, []byte("x"))
+	}
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if fired != len(held) {
+		t.Errorf("%d of %d timers fired", fired, len(held))
+	}
+	for i, n := range held {
+		prev := held[(i+len(held)-1)%len(held)].Addr()
+		if got, ok := from[n.Addr()]; !ok || got != prev {
+			t.Errorf("%v received from %v (delivered %v), want from %v", n.Addr(), got, ok, prev)
+		}
+	}
+}
+
 // TestSpawnerLazyRegistration covers the lazy host instantiation hook: the
 // spawner runs once per unknown destination, a successful spawn receives
 // the triggering datagram, a declined one counts as NoRoute, and already-

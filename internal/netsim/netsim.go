@@ -235,7 +235,11 @@ const (
 	slotEmpty = int32(-1)
 	slotTomb  = int32(-2)
 
-	nodeChunkBits = 14
+	// The node arena grows in chunks of 1024 nodes (32 KiB). Chunks never
+	// move, so *Node handles stay stable. Every shard sim allocates and
+	// zeroes at least one chunk, and a shard spawns only a few hundred
+	// hosts, so the chunk is sized to that rather than to a whole campaign.
+	nodeChunkBits = 10
 	nodeChunkSize = 1 << nodeChunkBits
 )
 

@@ -93,7 +93,13 @@ type Prober struct {
 	// (the old map[int]bool); burnedCount is its population count.
 	burnedBits  []uint64
 	burnedCount int
-	pending     []pendingName // FIFO; deadlines are monotone
+	// pending is the in-flight FIFO (deadlines monotone in single-shot
+	// mode); the live entries are pending[pendHead:]. sweep drops expired
+	// entries by advancing pendHead, and pushPending compacts the swept
+	// prefix only when an append would otherwise grow the backing array,
+	// so an entry is copied O(1) times on average while it is in flight.
+	pending  []pendingName
+	pendHead int
 
 	pauseUntil time.Duration
 	exhausted  bool
@@ -150,8 +156,9 @@ type Prober struct {
 	// template. sendOne copies the template into a pooled buffer and
 	// patches the 2-byte ID, replacing the per-probe name build + encode.
 	// An index whose name failed to encode (unencodable SLD) has an empty
-	// template; senders then replay the legacy error path. Rebuilt by
-	// refillCluster on every rotation.
+	// template; senders then replay the legacy error path. Rebuilt in
+	// place by refillCluster on every rotation; both slices are reserved
+	// at full size on the first build.
 	tmplBuf []byte
 	tmplOff []int32
 
@@ -273,7 +280,22 @@ const paperReloadPause = time.Minute
 // name that fails to encode gets an empty template (tmplOff[i] ==
 // tmplOff[i+1]); nothing is appended on failure because AppendQuery leaves
 // the destination length untouched when it errors.
+//
+// The first build reserves both buffers at their full size: the last
+// index's query is the longest of the cluster (indices zero-pad to a
+// common width), so ClusterSize copies of it bound tmplBuf and later
+// rotations rewrite it in place. Reserving up front spares every shard's
+// prober append's doubling chain, which allocates about twice the final
+// size.
 func (p *Prober) buildTemplates(c int) {
+	if p.tmplOff == nil {
+		n := p.cfg.ClusterSize
+		p.tmplOff = make([]int32, 0, n+1)
+		p.nameBuf = dnssrv.AppendProbeName(p.nameBuf[:0], c, n-1, p.cfg.SLD)
+		if q, err := dnswire.AppendQuery(p.tmplBuf, 0, p.nameBuf, dnswire.TypeA); err == nil {
+			p.tmplBuf = make([]byte, 0, n*len(q))
+		}
+	}
 	p.tmplBuf = p.tmplBuf[:0]
 	p.tmplOff = append(p.tmplOff[:0], 0)
 	for i := 0; i < p.cfg.ClusterSize; i++ {
@@ -334,7 +356,7 @@ func (p *Prober) tick() {
 	// most of the pool is burned, loading a fresh cluster beats crawling on
 	// the remnant — the discipline that puts the paper's campaign at 4
 	// clusters rather than waiting out every last name.
-	if !p.exhausted && len(p.pending) == 0 && len(p.retryq) == 0 && p.burnedCount > p.cfg.ClusterSize*3/4 {
+	if !p.exhausted && p.inFlight() == 0 && len(p.retryq) == 0 && p.burnedCount > p.cfg.ClusterSize*3/4 {
 		p.refillCluster(p.cluster + 1)
 	}
 
@@ -361,7 +383,7 @@ func (p *Prober) tick() {
 		}
 	}
 
-	if p.exhausted && len(p.pending) == 0 && len(p.retryq) == 0 {
+	if p.exhausted && p.inFlight() == 0 && len(p.retryq) == 0 {
 		p.done = true
 		p.finishedAt = p.node.Now()
 		if p.cfg.OnDone != nil {
@@ -375,13 +397,14 @@ func (p *Prober) tick() {
 // sweep returns timed-out subdomains to the pool (subdomain reuse, §III-B).
 // With the retransmission engine active, deadlines are no longer monotone
 // (backoff, adaptive RTO) and expired probes may still have retry budget,
-// so sweeping switches to the full-scan variant in retrans.go.
+// so sweeping switches to the full-scan variant in retrans.go. Expired
+// entries are dropped by advancing pendHead; nothing is copied.
 func (p *Prober) sweep(now time.Duration) {
 	if p.retransmitting() {
 		p.sweepScan(now)
 		return
 	}
-	i := 0
+	i := p.pendHead
 	for ; i < len(p.pending); i++ {
 		pn := p.pending[i]
 		if pn.deadline > now {
@@ -396,16 +419,32 @@ func (p *Prober) sweep(now time.Duration) {
 			p.sendAt[pn.idx] = -1
 		}
 	}
-	// Compact in place so the backing array is reused steady-state.
-	n := copy(p.pending, p.pending[i:])
-	p.pending = p.pending[:n]
+	if i == len(p.pending) {
+		// Drained: rewind for free instead of compacting later.
+		p.pending, i = p.pending[:0], 0
+	}
+	p.pendHead = i
+}
+
+// inFlight returns the number of live entries in the pending FIFO.
+func (p *Prober) inFlight() int { return len(p.pending) - p.pendHead }
+
+// pushPending appends pn to the in-flight FIFO. When the backing array is
+// full and a swept prefix exists, the live entries slide down over it
+// first, so capacity only grows when the in-flight set itself outgrows it.
+func (p *Prober) pushPending(pn pendingName) {
+	if len(p.pending) == cap(p.pending) && p.pendHead > 0 {
+		n := copy(p.pending, p.pending[p.pendHead:])
+		p.pending, p.pendHead = p.pending[:n], 0
+	}
+	p.pending = append(p.pending, pn)
 }
 
 // sendOne transmits the next probe; it returns false when the batch should
 // stop (universe exhausted or no subdomains available).
 func (p *Prober) sendOne(now time.Duration) bool {
 	if len(p.avail) == 0 {
-		if len(p.pending) > 0 || len(p.retryq) > 0 {
+		if p.inFlight() > 0 || len(p.retryq) > 0 {
 			// Pool exhausted but names may return after timeouts: stall.
 			return false
 		}
@@ -459,7 +498,7 @@ func (p *Prober) sendOne(now time.Duration) bool {
 		p.target[idx] = target
 		p.qid[idx] = id
 	}
-	p.pending = append(p.pending, pendingName{idx: idx, cluster: p.cluster, deadline: now + p.rto()})
+	p.pushPending(pendingName{idx: idx, cluster: p.cluster, deadline: now + p.rto()})
 	return true
 }
 

@@ -104,12 +104,14 @@ func (p *Prober) backoff(attempts uint8) time.Duration {
 
 // sweepScan is the sweep used when the retransmission engine is active.
 // Backoff and adaptive RTOs break the legacy sweep's monotone-deadline
-// invariant, so expired entries are found by a full scan with in-place
-// compaction. Expired probes with budget left move to the retry queue
-// (keeping their subdomain reserved); probes out of budget are given up.
+// invariant, so expired entries are found by a full scan of the live
+// entries (from pendHead) with in-place compaction that rewinds the head;
+// unlike the monotone sweep it stays O(in-flight) per tick. Expired probes
+// with budget left move to the retry queue (keeping their subdomain
+// reserved); probes out of budget are given up.
 func (p *Prober) sweepScan(now time.Duration) {
 	out := p.pending[:0]
-	for _, pn := range p.pending {
+	for _, pn := range p.pending[p.pendHead:] {
 		if pn.deadline > now {
 			out = append(out, pn)
 			continue
@@ -126,7 +128,7 @@ func (p *Prober) sweepScan(now time.Duration) {
 		}
 		p.giveUp(pn.idx)
 	}
-	p.pending = out
+	p.pending, p.pendHead = out, 0
 }
 
 // giveUp abandons an in-flight probe: its subdomain returns to the pool
@@ -192,7 +194,7 @@ func (p *Prober) retransmit(idx int, now time.Duration) {
 	p.retransmits++
 	p.cfg.Obs.Inc(obs.CProbeRetransmits)
 	p.sendAt[idx] = now
-	p.pending = append(p.pending, pendingName{idx: idx, cluster: p.cluster, deadline: now + p.backoff(p.attempts[idx])})
+	p.pushPending(pendingName{idx: idx, cluster: p.cluster, deadline: now + p.backoff(p.attempts[idx])})
 }
 
 // Stats is a snapshot of the prober's counters for the campaign report.
