@@ -111,7 +111,7 @@ cover:
 doccheck: vet
 	$(GO) run ./scripts/doccheck -api API.md -routes internal/serve/router.go \
 		-flagdoc README.md -flagcli cmd/orsweep -flagcli cmd/orserved \
-		-flagcli cmd/orfabric \
+		-flagcli cmd/orfabric -flagcli cmd/orsurvey -flagcli cmd/ortrend \
 		./internal ./cmd ./scripts
 
 bench:

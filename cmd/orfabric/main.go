@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var imps []netsim.Impairment
-	if *lossModel != "" && *lossModel != "none" {
+	if *lossModel != "" {
 		var err error
 		if imps, err = netsim.ParseImpairments(*lossModel); err != nil {
 			return err

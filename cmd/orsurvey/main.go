@@ -44,7 +44,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stderr); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "orsurvey:", err)
 		os.Exit(1)
 	}
@@ -55,7 +55,7 @@ func main() {
 // scrape the endpoints with the full run's data in place.
 var metricsUp = func(addr string) {}
 
-func run(args []string, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("orsurvey", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	year := fs.Int("year", 2018, "campaign year (2013 or 2018)")
@@ -81,29 +81,14 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 
-	// The observability registry exists only when asked for; a nil registry
-	// turns every instrumentation call in the pipeline into a no-op.
-	var reg *obs.Registry
-	if *metricsAddr != "" || *progress > 0 {
-		reg = obs.NewRegistry()
+	reg, metricsBound, stopObs, err := obs.StartCLI("orsurvey", *metricsAddr, *progress, stderr)
+	if err != nil {
+		return err
 	}
-	var srv *obs.Server
-	if *metricsAddr != "" {
-		var err error
-		if srv, err = obs.Serve(*metricsAddr, reg); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "orsurvey: metrics on http://%s/metrics (expvar /debug/vars, pprof /debug/pprof)\n", srv.Addr)
-	}
-	if *progress > 0 {
-		stop := reg.StartProgress(stderr, *progress)
-		defer stop()
-	}
+	defer stopObs()
 
 	var imps []netsim.Impairment
 	if *lossModel != "" {
-		var err error
 		if imps, err = netsim.ParseImpairments(*lossModel); err != nil {
 			return err
 		}
@@ -135,10 +120,7 @@ func run(args []string, stderr io.Writer) error {
 		},
 	}
 
-	var (
-		ds  *core.Dataset
-		err error
-	)
+	var ds *core.Dataset
 	switch *mode {
 	case "synth":
 		ds, err = core.RunSynthetic(cfg)
@@ -163,30 +145,30 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 
-	fmt.Print(ds.Report.RenderAll())
+	fmt.Fprint(stdout, ds.Report.RenderAll())
 	clusterSize := uint64(paperdata.ClusterSize >> cfg.SampleShift)
 	if clusterSize < 16 {
 		clusterSize = 16
 	}
 	theoretical := (ds.Report.Campaign.Q1 + clusterSize - 1) / clusterSize
-	fmt.Printf("\nSubdomain clusters used: %d (theoretical without reuse: %d; §III-B)\n",
+	fmt.Fprintf(stdout, "\nSubdomain clusters used: %d (theoretical without reuse: %d; §III-B)\n",
 		ds.ClustersUsed, theoretical)
 	if *mode == "sim" {
-		fmt.Printf("Subdomains reused: %d\n", ds.SubdomainsReused)
+		fmt.Fprintf(stdout, "Subdomains reused: %d\n", ds.SubdomainsReused)
 		st := ds.NetStats
-		fmt.Printf("Network: sent %d, delivered %d, lost %d, unrouted %d\n",
+		fmt.Fprintf(stdout, "Network: sent %d, delivered %d, lost %d, unrouted %d\n",
 			st.Sent, st.Delivered, st.Lost, st.NoRoute)
 		ps := ds.ProbeStats
-		fmt.Printf("Prober: answered %d, retransmits %d, late %d, duplicate %d, gave up %d\n",
+		fmt.Fprintf(stdout, "Prober: answered %d, retransmits %d, late %d, duplicate %d, gave up %d\n",
 			ps.Answered, ps.Retransmits, ps.Late, ps.DupResponses, ps.GaveUp)
 		if fst := ds.FaultStats; fst != (netsim.FaultStats{}) {
-			fmt.Printf("Faults: dropped %d (loss %d, burst %d, blackhole %d, brownout %d), duplicated %d, corrupted %d, reordered %d\n",
+			fmt.Fprintf(stdout, "Faults: dropped %d (loss %d, burst %d, blackhole %d, brownout %d), duplicated %d, corrupted %d, reordered %d\n",
 				fst.Dropped, fst.LossDrops, fst.BurstDrops, fst.Blackholed, fst.BrownedOut,
 				fst.Duplicated, fst.Corrupted, fst.Reordered)
 		}
 		if ds.Roles != nil {
-			fmt.Println()
-			fmt.Print(ds.Roles.Render())
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, ds.Roles.Render())
 		}
 	}
 
@@ -194,7 +176,7 @@ func run(args []string, stderr io.Writer) error {
 		if err := writeCapture(*capturePath, ds.R2Packets); err != nil {
 			return err
 		}
-		fmt.Printf("R2 capture (%d packets) written to %s\n", len(ds.R2Packets), *capturePath)
+		fmt.Fprintf(stdout, "R2 capture (%d packets) written to %s\n", len(ds.R2Packets), *capturePath)
 	}
 	if *jsonPath != "" {
 		data, err := ds.Report.JSON()
@@ -204,7 +186,7 @@ func run(args []string, stderr io.Writer) error {
 		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("report JSON written to %s\n", *jsonPath)
+		fmt.Fprintf(stdout, "report JSON written to %s\n", *jsonPath)
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -223,10 +205,10 @@ func run(args []string, stderr io.Writer) error {
 				return err
 			}
 		}
-		fmt.Printf("CSV tables written to %s\n", *csvDir)
+		fmt.Fprintf(stdout, "CSV tables written to %s\n", *csvDir)
 	}
-	if srv != nil {
-		metricsUp(srv.Addr)
+	if metricsBound != "" {
+		metricsUp(metricsBound)
 	}
 	return nil
 }

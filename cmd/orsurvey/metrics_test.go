@@ -52,7 +52,7 @@ func TestMetricsEndpointSim(t *testing.T) {
 	}
 
 	err := run([]string{"-mode", "sim", "-shift", "13", "-seed", "1",
-		"-metrics-addr", "127.0.0.1:0"}, io.Discard)
+		"-metrics-addr", "127.0.0.1:0"}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestMetricsEndpointSynth(t *testing.T) {
 	}
 
 	err := run([]string{"-year", "2018", "-shift", "12", "-workers", "3",
-		"-metrics-addr", "127.0.0.1:0"}, io.Discard)
+		"-metrics-addr", "127.0.0.1:0"}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMetricsEndpointSynth(t *testing.T) {
 
 // TestMetricsBadAddr checks the listen error path through the CLI.
 func TestMetricsBadAddr(t *testing.T) {
-	if err := run([]string{"-shift", "12", "-metrics-addr", "256.0.0.1:bogus"}, io.Discard); err == nil {
+	if err := run([]string{"-shift", "12", "-metrics-addr", "256.0.0.1:bogus"}, io.Discard, io.Discard); err == nil {
 		t.Error("invalid metrics address accepted")
 	}
 }
@@ -147,7 +147,7 @@ func TestMetricsBadAddr(t *testing.T) {
 // TestProgressFlag drives -progress and checks the stderr ticker output.
 func TestProgressFlag(t *testing.T) {
 	var buf strings.Builder
-	if err := run([]string{"-year", "2018", "-shift", "10", "-progress", "1ms"}, &buf); err != nil {
+	if err := run([]string{"-year", "2018", "-shift", "10", "-progress", "1ms"}, io.Discard, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "obs[") {

@@ -38,7 +38,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"openresolver/internal/core"
@@ -59,6 +58,16 @@ func main() {
 // scrape the endpoints with the full run's data in place.
 var metricsUp = func(addr string) {}
 
+// runSweep executes the compiled grid. Tests swap it to inspect the spec a
+// command line compiles to without running a cell.
+var runSweep = sweep.Run
+
+// gridFlags maps each grid flag onto the sweep.Spec directive it sets.
+var gridFlags = map[string]string{
+	"year": "years", "loss": "loss", "retry": "retry", "cell-workers": "workers",
+	"mode": "mode", "shift": "shift", "seed": "seed", "pps": "pps", "max-events": "max-events",
+}
+
 // multiFlag collects a repeatable string flag in order of appearance.
 type multiFlag []string
 
@@ -71,17 +80,16 @@ func (m *multiFlag) Set(v string) error {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("orsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var years, losses, retries, cellWorkers multiFlag
-	fs.Var(&years, "year", "year axis value (repeatable): 2013, 2018, or fractional like 2015.5")
-	fs.Var(&losses, "loss", `impairment axis value (repeatable): "none" or a netsim spec like "ge:0.05,0.2,0.125,1"`)
-	fs.Var(&retries, "retry", `retry axis value (repeatable): "<budget>[+adaptive][+backoff]", e.g. 0 or 5+adaptive`)
-	fs.Var(&cellWorkers, "cell-workers", "per-campaign worker axis value (repeatable; both modes — capped so cells × workers stays at the -workers pool bound)")
+	fs.Var(new(multiFlag), "year", "year axis value (repeatable): 2013, 2018, or fractional like 2015.5")
+	fs.Var(new(multiFlag), "loss", `impairment axis value (repeatable): "none" or a netsim spec like "ge:0.05,0.2,0.125,1"`)
+	fs.Var(new(multiFlag), "retry", `retry axis value (repeatable): "<budget>[+adaptive][+backoff]", e.g. 0 or 5+adaptive`)
+	fs.Var(new(multiFlag), "cell-workers", "per-campaign worker axis value (repeatable; both modes — capped so cells × workers stays at the -workers pool bound)")
 	specPath := fs.String("spec", "", "read the grid from this spec file (axis flags override its axes)")
-	mode := fs.String("mode", "", "campaign engine: sim (default) or synth")
-	shift := fs.Uint("shift", 0, "sample shift: scale every cell to 1/2^shift (default 14)")
-	seed := fs.Int64("seed", 0, "deterministic seed shared by every cell (default 1)")
-	pps := fs.Uint64("pps", 0, "probe rate override (0 = paper value)")
-	maxEvents := fs.Int("max-events", 0, "per-cell event queue bound (sim; default 2^21)")
+	fs.String("mode", "", "campaign engine: sim (default) or synth")
+	fs.Uint("shift", 0, "sample shift: scale every cell to 1/2^shift (default 14)")
+	fs.Int64("seed", 0, "deterministic seed shared by every cell (default 1)")
+	fs.Uint64("pps", 0, "probe rate override (0 = paper value)")
+	fs.Int("max-events", 0, "per-cell event queue bound (sim; default 2^21)")
 	poolWorkers := fs.Int("workers", 0, "cells running concurrently (0 = all cores); also the budget per-cell workers are capped against")
 	watchdog := fs.Duration("watchdog", 0, "flag any cell still running after this long with a stderr warning (0 = off; cells are never killed)")
 	outDir := fs.String("out", "", "write one JSON artifact per completed cell into this directory")
@@ -116,92 +124,43 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		spec = parsed
 	}
-	if len(years) > 0 {
-		spec.Years = nil
-		for _, v := range years {
-			y, err := sweep.ParseYear(v)
-			if err != nil {
-				return err
-			}
-			spec.Years = append(spec.Years, y)
-		}
-	}
-	if len(losses) > 0 {
-		spec.Loss = nil
-		for _, v := range losses {
-			l, err := sweep.ParseLoss(v)
-			if err != nil {
-				return err
-			}
-			spec.Loss = append(spec.Loss, l)
-		}
-	}
-	if len(retries) > 0 {
-		spec.Retry = nil
-		for _, v := range retries {
-			p, err := sweep.ParseRetryPolicy(v)
-			if err != nil {
-				return err
-			}
-			spec.Retry = append(spec.Retry, p)
-		}
-	}
-	if len(cellWorkers) > 0 {
-		spec.Workers = nil
-		for _, v := range cellWorkers {
-			w, err := strconv.Atoi(v)
-			if err != nil || w < 0 {
-				return fmt.Errorf("-cell-workers %q: want a non-negative integer", v)
-			}
-			spec.Workers = append(spec.Workers, w)
-		}
-	}
-	// Scalar flags override the spec file only when set on the command line,
-	// so "orsweep -spec grid.sweep" honors the file's shift/seed while
+	// Grid flags override the spec file only when set on the command line,
+	// so "orsweep -spec grid.sweep" honors the file's grid while
 	// "orsweep -spec grid.sweep -shift 16" pins a quick rescale.
+	var err error
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "mode":
-			spec.Mode = *mode
-		case "shift":
-			spec.Shift = uint8(*shift)
-		case "seed":
-			spec.Seed = *seed
-		case "pps":
-			spec.PPS = *pps
-		case "max-events":
-			spec.MaxEvents = *maxEvents
+		directive, ok := gridFlags[f.Name]
+		if !ok || err != nil {
+			return
+		}
+		vals := []string{f.Value.String()}
+		if m, ok := f.Value.(*multiFlag); ok {
+			vals = *m
+		}
+		if err = spec.Override(directive, vals...); err != nil {
+			err = fmt.Errorf("-%s: %w", f.Name, err)
 		}
 	})
-
+	if err != nil {
+		return err
+	}
 	cells, err := spec.Cells()
 	if err != nil {
 		return err
 	}
 
-	var reg *obs.Registry
-	if *metricsAddr != "" || *progress > 0 {
-		reg = obs.NewRegistry()
+	reg, metricsBound, stopObs, err := obs.StartCLI("orsweep", *metricsAddr, *progress, stderr)
+	if err != nil {
+		return err
 	}
-	var srv *obs.Server
-	if *metricsAddr != "" {
-		if srv, err = obs.Serve(*metricsAddr, reg); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "orsweep: metrics on http://%s/metrics (JSON; OpenMetrics via Accept)\n", srv.Addr)
-	}
-	if *progress > 0 {
-		stop := reg.StartProgress(stderr, *progress)
-		defer stop()
-	}
+	defer stopObs()
 
 	ctx, cancel := sigctx.New("orsweep", stderr)
 	defer cancel()
 	fmt.Fprintf(stderr, "orsweep: %d cells (mode=%s shift=%d seed=%d), pool=%d\n",
 		len(cells), spec.Mode, spec.Shift, spec.Seed, poolSize(*poolWorkers))
 	wallStart := time.Now()
-	results, err := sweep.Run(sweep.RunConfig{
+	results, err := runSweep(sweep.RunConfig{
 		Spec:        spec,
 		PoolWorkers: *poolWorkers,
 		ArtifactDir: *outDir,
@@ -268,8 +227,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "orsweep: matrix JSON written to %s\n", *jsonPath)
 		}
 	}
-	if srv != nil {
-		metricsUp(srv.Addr)
+	if metricsBound != "" {
+		metricsUp(metricsBound)
 	}
 	return nil
 }

@@ -3,13 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"openresolver/internal/serve"
+	"openresolver/internal/sweep"
 )
 
 // sweepArgs is a fast 2×2 grid (shift 16): pristine vs lossy network,
@@ -238,5 +243,102 @@ func TestSweepCLIMetrics(t *testing.T) {
 	}
 	if err := <-scraped; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrontEndsCompileOneSpec spells one grid that uses every directive of
+// the grammar four ways — a spec file, orsweep flags, a spec file whose
+// axes and scalars are overridden by flags, and serve.JobSpec fields — and
+// requires the same normalized sweep.Spec and the same serve.SpecKey from
+// each. The key is pinned: orserved names its state directories by it.
+func TestFrontEndsCompileOneSpec(t *testing.T) {
+	const wantKey = "b8f163ae759f9ba4469bfb85b96696ecbcb31e8628c6ee24f5bd9e80d215cb51"
+	const text = `mode sim
+shift 15
+seed 7
+pps 20000
+max-events 3000000
+years 2018 2015.5
+loss none ge:0.05,0.2,0.125,1
+retry 0 2+adaptive+backoff
+workers 1 2
+`
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.sweep")
+	partial := filepath.Join(dir, "partial.sweep")
+	if err := os.WriteFile(full, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(partial, []byte("mode synth\nshift 12\nseed 7\nyears 2013\nloss none ge:0.05,0.2,0.125,1\nworkers 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	errCompiled := errors.New("compiled")
+	var got *sweep.Spec
+	old := runSweep
+	runSweep = func(rc sweep.RunConfig) ([]sweep.Result, error) {
+		got = rc.Spec
+		return nil, errCompiled
+	}
+	defer func() { runSweep = old }()
+	viaRun := func(args ...string) *sweep.Spec {
+		t.Helper()
+		got = nil
+		if err := run(args, io.Discard, io.Discard); !errors.Is(err, errCompiled) {
+			t.Fatalf("run(%v) = %v, want the compiled spec", args, err)
+		}
+		return got
+	}
+
+	js := &serve.JobSpec{
+		Years:       []string{"2018", "2015.5"},
+		Loss:        []string{"none", "ge:0.05,0.2,0.125,1"},
+		Retry:       []string{"0", "2+adaptive+backoff"},
+		CellWorkers: []int{1, 2},
+		Mode:        "sim",
+		Shift:       15,
+		Seed:        7,
+		PPS:         20000,
+		MaxEvents:   3000000,
+	}
+	fromJob, _, err := js.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromText, _, err := (&serve.JobSpec{SpecText: text}).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		spec *sweep.Spec
+	}{
+		{"spec text", fromText},
+		{"orsweep -spec", viaRun("-spec", full)},
+		{"orsweep flags", viaRun("-mode", "sim", "-shift", "15", "-seed", "7", "-pps", "20000",
+			"-max-events", "3000000", "-year", "2018", "-year", "2015.5",
+			"-loss", "none", "-loss", "ge:0.05,0.2,0.125,1", "-retry", "0", "-retry", "2+adaptive+backoff",
+			"-cell-workers", "1", "-cell-workers", "2")},
+		{"orsweep -spec with overrides", viaRun("-spec", partial, "-mode", "sim", "-shift", "15",
+			"-year", "2018", "-year", "2015.5", "-retry", "0", "-retry", "2+adaptive+backoff",
+			"-pps", "20000", "-max-events", "3000000", "-cell-workers", "1", "-cell-workers", "2")},
+		{"JobSpec fields", fromJob},
+	} {
+		if !reflect.DeepEqual(tc.spec, fromJob) {
+			t.Errorf("%s compiled to\n %+v\nwant\n %+v", tc.name, tc.spec, fromJob)
+		}
+		cells, err := tc.spec.Cells()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if key := serve.SpecKey(tc.spec, cells); key != wantKey {
+			t.Errorf("%s: spec key %s, want %s", tc.name, key, wantKey)
+		}
+	}
+
+	// An explicitly passed -shift 0 still overrides the file's shift 12,
+	// leaving the default.
+	if s := viaRun("-spec", partial, "-mode", "sim", "-shift", "0"); s.Shift != 14 || s.Seed != 7 {
+		t.Errorf("-spec with -shift 0: shift %d seed %d, want 14 and the file's 7", s.Shift, s.Seed)
 	}
 }

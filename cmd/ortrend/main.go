@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stderr); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "ortrend:", err)
 		os.Exit(1)
 	}
@@ -41,7 +41,7 @@ func main() {
 // metrics address after the trend is printed, before the server closes.
 var metricsUp = func(addr string) {}
 
-func run(args []string, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ortrend", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	epochs := fs.Int("epochs", 6, "monitoring epochs between the 2013 and 2018 snapshots")
@@ -61,26 +61,13 @@ func run(args []string, stderr io.Writer) error {
 		}
 		return err
 	}
-	var reg *obs.Registry
-	if *metricsAddr != "" || *progress > 0 {
-		reg = obs.NewRegistry()
+	reg, metricsBound, stopObs, err := obs.StartCLI("ortrend", *metricsAddr, *progress, stderr)
+	if err != nil {
+		return err
 	}
-	var srv *obs.Server
-	if *metricsAddr != "" {
-		var err error
-		if srv, err = obs.Serve(*metricsAddr, reg); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "ortrend: metrics on http://%s/metrics (expvar /debug/vars, pprof /debug/pprof)\n", srv.Addr)
-	}
-	if *progress > 0 {
-		stop := reg.StartProgress(stderr, *progress)
-		defer stop()
-	}
+	defer stopObs()
 	var imps []netsim.Impairment
 	if *lossModel != "" {
-		var err error
 		if imps, err = netsim.ParseImpairments(*lossModel); err != nil {
 			return err
 		}
@@ -108,17 +95,17 @@ func run(args []string, stderr io.Writer) error {
 	if errors.Is(err, core.ErrInterrupted) {
 		fmt.Fprintf(stderr, "ortrend: interrupted; rendering the %d completed epoch(s) of %d\n", len(points), *epochs)
 	}
-	fmt.Printf("Open-resolver ecosystem trend (1/%d sample per epoch)\n\n", uint64(1)<<*shift)
-	fmt.Print(drift.RenderTrend(points))
+	fmt.Fprintf(stdout, "Open-resolver ecosystem trend (1/%d sample per epoch)\n\n", uint64(1)<<*shift)
+	fmt.Fprint(stdout, drift.RenderTrend(points))
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nThe monitored indicators reproduce the paper's §V argument: the")
-	fmt.Println("responder population declines steadily while manipulated and malicious")
-	fmt.Println("answers hold or grow — the threat does not decay with the population,")
-	fmt.Println("which is why continuous behavioral monitoring is needed.")
-	if srv != nil {
-		metricsUp(srv.Addr)
+	fmt.Fprintln(stdout, "\nThe monitored indicators reproduce the paper's §V argument: the")
+	fmt.Fprintln(stdout, "responder population declines steadily while manipulated and malicious")
+	fmt.Fprintln(stdout, "answers hold or grow — the threat does not decay with the population,")
+	fmt.Fprintln(stdout, "which is why continuous behavioral monitoring is needed.")
+	if metricsBound != "" {
+		metricsUp(metricsBound)
 	}
 	return nil
 }

@@ -29,7 +29,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	err := run([]string{"-epochs", "2", "-shift", "13",
-		"-metrics-addr", "127.0.0.1:0"}, io.Discard)
+		"-metrics-addr", "127.0.0.1:0"}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

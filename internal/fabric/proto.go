@@ -192,7 +192,7 @@ func SpecFor(cfg core.Config, lossSpec string) CampaignSpec {
 // round-tripped.
 func (s CampaignSpec) Config() (core.Config, error) {
 	var imps []netsim.Impairment
-	if s.Loss != "" && s.Loss != "none" {
+	if s.Loss != "" {
 		var err error
 		if imps, err = netsim.ParseImpairments(s.Loss); err != nil {
 			return core.Config{}, fmt.Errorf("fabric: campaign spec: %w", err)

@@ -348,8 +348,12 @@ func (w *Windowed) Apply(dg *Datagram, now time.Duration, rng *rand.Rand, f *Fat
 //	"ge:0.05,0.2,0.125,1@2m..20m;dup:0.01"
 //
 // runs a 30%-mean burst-loss channel only between minutes 2 and 20 while
-// 1% duplication runs throughout.
+// 1% duplication runs throughout. The keyword "none" is the pristine
+// network (an empty plan); an empty spec is an error.
 func ParseImpairments(spec string) ([]Impairment, error) {
+	if spec == "none" {
+		return nil, nil
+	}
 	var out []Impairment
 	for _, part := range strings.Split(spec, ";") {
 		part = strings.TrimSpace(part)

@@ -365,6 +365,9 @@ func TestParseImpairments(t *testing.T) {
 		t.Errorf("imps[6] = %#v, want Brownout", imps[6])
 	}
 
+	if imps, err := ParseImpairments("none"); err != nil || imps != nil {
+		t.Errorf(`ParseImpairments("none") = %v, %v; want the pristine plan (nil, nil)`, imps, err)
+	}
 	for _, bad := range []string{
 		"", "bogus:1", "loss:1.5", "loss:x", "ge:0.1,0.2", "reorder:0.5",
 		"reorder:0.5,-3s", "dup:0.1,0", "blackhole:", "blackhole:10.0.0.0/8,dst",

@@ -88,6 +88,32 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
+// StartCLI is the observability bootstrap the campaign CLIs share. When
+// addr or progress asks for it, it creates a registry (otherwise reg is
+// nil, which turns every instrumentation call into a no-op), serves it on
+// addr with a banner on w naming prog, and starts the progress ticker on
+// w. bound is the listening address ("" when addr is empty); stop halts
+// the ticker, which prints its final line, and then closes the server.
+func StartCLI(prog, addr string, progress time.Duration, w io.Writer) (reg *Registry, bound string, stop func(), err error) {
+	if addr == "" && progress <= 0 {
+		return nil, "", func() {}, nil
+	}
+	reg = NewRegistry()
+	var srv *Server
+	if addr != "" {
+		if srv, err = Serve(addr, reg); err != nil {
+			return nil, "", nil, err
+		}
+		bound = srv.Addr
+		fmt.Fprintf(w, "%s: metrics on http://%s/metrics (JSON; OpenMetrics via Accept; expvar /debug/vars, pprof /debug/pprof)\n", prog, bound)
+	}
+	stopProgress := reg.StartProgress(w, progress)
+	return reg, bound, func() {
+		stopProgress()
+		srv.Close()
+	}, nil
+}
+
 // StartProgress launches a goroutine that writes a one-line campaign
 // summary to w every interval — probe and event counters, fault drops,
 // live heap, and the currently open phase. The returned stop function

@@ -138,3 +138,47 @@ func (b *syncBuffer) String() string {
 	defer b.mu.Unlock()
 	return b.buf.String()
 }
+
+// TestStartCLI covers the CLI bootstrap: no registry unless asked for, a
+// ticker-only registry without a listener, and a served registry whose
+// banner names the command and whose stop closes the listener after the
+// ticker's final line.
+func TestStartCLI(t *testing.T) {
+	reg, bound, stop, err := StartCLI("orx", "", 0, io.Discard)
+	if err != nil || reg != nil || bound != "" {
+		t.Fatalf("StartCLI off = %v, %q, %v; want nil registry", reg, bound, err)
+	}
+	stop()
+
+	var buf bytes.Buffer
+	reg, bound, stop, err = StartCLI("orx", "", time.Hour, &buf)
+	if err != nil || reg == nil || bound != "" {
+		t.Fatalf("StartCLI progress-only = %v, %q, %v", reg, bound, err)
+	}
+	stop()
+	if !strings.HasPrefix(buf.String(), "obs[") {
+		t.Errorf("stop did not print the final progress line: %q", buf.String())
+	}
+
+	buf.Reset()
+	reg, bound, stop, err = StartCLI("orx", "127.0.0.1:0", 0, &buf)
+	if err != nil || reg == nil || bound == "" {
+		t.Fatalf("StartCLI served = %v, %q, %v", reg, bound, err)
+	}
+	if want := "orx: metrics on http://" + bound + "/metrics"; !strings.Contains(buf.String(), want) {
+		t.Errorf("banner %q lacks %q", buf.String(), want)
+	}
+	resp, err := http.Get("http://" + bound + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	stop()
+	if _, err := http.Get("http://" + bound + "/metrics"); err == nil {
+		t.Error("metrics still served after stop")
+	}
+
+	if _, _, _, err := StartCLI("orx", "256.0.0.1:bogus", 0, io.Discard); err == nil {
+		t.Error("bad metrics address accepted")
+	}
+}

@@ -232,18 +232,11 @@ func (m *Manager) Submit(tenant string, js *JobSpec) (JobView, error) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	spec, err := js.Compile()
+	spec, cells, err := js.Compile()
 	if err != nil {
 		return JobView{}, err
 	}
-	key, err := SpecKey(spec)
-	if err != nil {
-		return JobView{}, err
-	}
-	cells, err := spec.Cells()
-	if err != nil {
-		return JobView{}, err
-	}
+	key := SpecKey(spec, cells)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -128,7 +128,7 @@ func fetch(t *testing.T, url string) (int, []byte) {
 // cache, returning the same bytes without re-running a single cell.
 func TestServeByteIdentityAndCache(t *testing.T) {
 	// Reference: the spec run the way orsweep runs it.
-	refSpec, err := smallJob().Compile()
+	refSpec, _, err := smallJob().Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestServeGoldenDigest(t *testing.T) {
 // checkpoints in the state directory), reports resumable state, and a
 // resume completes it with results byte-identical to an uninterrupted run.
 func TestServeCancelResume(t *testing.T) {
-	refSpec, err := smallJob().Compile()
+	refSpec, _, err := smallJob().Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,14 +569,11 @@ func TestSpecDirReuse(t *testing.T) {
 
 // TestSpecKeyPrefixIsDirSafe guards the state-directory naming assumption.
 func TestSpecKeyPrefixIsDirSafe(t *testing.T) {
-	spec, err := smallJob().Compile()
+	spec, cells, err := smallJob().Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := SpecKey(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := SpecKey(spec, cells)
 	if len(key) != 64 {
 		t.Fatalf("spec key %q is not a sha256 hex string", key)
 	}

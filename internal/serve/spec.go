@@ -17,17 +17,19 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"openresolver/internal/sweep"
 )
 
 // JobSpec is the wire form of a sweep spec: the body of POST /v1/jobs.
-// Axes and scalars mirror orsweep's flags and reuse internal/sweep's
-// parsers and validation, so anything orsweep accepts on its command line
-// is expressible here. Alternatively SpecText carries a complete spec file
-// in the sweep.ParseSpecFile grammar; explicit axis and scalar fields then
-// override it, exactly like orsweep's flags override -spec.
+// Axes and scalars mirror orsweep's flags and go through the same
+// sweep.Spec directive parser and validation, so anything orsweep accepts
+// on its command line is expressible here. Alternatively SpecText carries
+// a complete spec file in the sweep.ParseSpecFile grammar; explicit axis
+// and scalar fields then override it, exactly like orsweep's flags
+// override -spec.
 type JobSpec struct {
 	// SpecText, when non-empty, is a whole spec file (one directive per
 	// line, '#' comments — the orsweep -spec grammar).
@@ -50,56 +52,34 @@ type JobSpec struct {
 	MaxEvents int    `json:"max_events,omitempty"`
 }
 
-// Compile turns the wire spec into a validated sweep.Spec, expanding the
-// grid once to surface every validation error (unknown axis values,
-// duplicate cells, synth-mode network axes) at submission time rather than
-// inside the job.
-func (js *JobSpec) Compile() (*sweep.Spec, error) {
+// Compile turns the wire spec into a validated sweep.Spec and its
+// expanded grid. Axis fields override the SpecText axis through the same
+// sweep.Spec directive parser orsweep's flags use; non-zero scalars are
+// assigned as they are. The grid is expanded here, once per submission,
+// so every validation error (unknown axis values, duplicate cells,
+// synth-mode network axes) surfaces at submission time rather than inside
+// the job.
+func (js *JobSpec) Compile() (*sweep.Spec, []sweep.Cell, error) {
 	s := &sweep.Spec{}
 	if js.SpecText != "" {
 		parsed, err := sweep.ParseSpecFile(strings.NewReader(js.SpecText))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s = parsed
 	}
-	if len(js.Years) > 0 {
-		s.Years = nil
-		for _, v := range js.Years {
-			y, err := sweep.ParseYear(v)
-			if err != nil {
-				return nil, err
-			}
-			s.Years = append(s.Years, y)
-		}
+	workers := make([]string, len(js.CellWorkers))
+	for i, w := range js.CellWorkers {
+		workers[i] = strconv.Itoa(w)
 	}
-	if len(js.Loss) > 0 {
-		s.Loss = nil
-		for _, v := range js.Loss {
-			l, err := sweep.ParseLoss(v)
-			if err != nil {
-				return nil, err
+	for _, axis := range []struct {
+		directive string
+		vals      []string
+	}{{"years", js.Years}, {"loss", js.Loss}, {"retry", js.Retry}, {"workers", workers}} {
+		if len(axis.vals) > 0 {
+			if err := s.Override(axis.directive, axis.vals...); err != nil {
+				return nil, nil, err
 			}
-			s.Loss = append(s.Loss, l)
-		}
-	}
-	if len(js.Retry) > 0 {
-		s.Retry = nil
-		for _, v := range js.Retry {
-			p, err := sweep.ParseRetryPolicy(v)
-			if err != nil {
-				return nil, err
-			}
-			s.Retry = append(s.Retry, p)
-		}
-	}
-	if len(js.CellWorkers) > 0 {
-		s.Workers = nil
-		for _, w := range js.CellWorkers {
-			if w < 0 {
-				return nil, fmt.Errorf("serve: cell_workers %d is negative", w)
-			}
-			s.Workers = append(s.Workers, w)
 		}
 	}
 	if js.Mode != "" {
@@ -117,31 +97,29 @@ func (js *JobSpec) Compile() (*sweep.Spec, error) {
 	if js.MaxEvents != 0 {
 		s.MaxEvents = js.MaxEvents
 	}
-	if _, err := s.Cells(); err != nil {
-		return nil, err
+	cells, err := s.Cells()
+	if err != nil {
+		return nil, nil, err
 	}
-	return s, nil
+	return s, cells, nil
 }
 
 // SpecKey is the canonical content address of a compiled spec: a sha256
 // over the normalized shared scalars and every expanded cell key in grid
-// order. Two submissions that expand to the same grid — however they were
+// order, where cells is the spec's own expansion as Compile returns it.
+// Two submissions that expand to the same grid — however they were
 // spelled (spec text vs fields, defaulted vs explicit values) — collide on
 // the key, which is what lets the digest cache serve a repeat of an
 // identical (spec, seed) submission without re-simulation. Campaign output
 // is a pure function of exactly the fields hashed here (worker counts are
 // part of the grid key only because they are an axis of the matrix
 // rendering; the campaign bytes themselves are worker-invariant).
-func SpecKey(s *sweep.Spec) (string, error) {
-	cells, err := s.Cells()
-	if err != nil {
-		return "", err
-	}
+func SpecKey(s *sweep.Spec, cells []sweep.Cell) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "mode=%s shift=%d seed=%d pps=%d max-events=%d\n",
 		s.Mode, s.Shift, s.Seed, s.PPS, s.MaxEvents)
 	for _, c := range cells {
 		fmt.Fprintln(h, c.Key())
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }

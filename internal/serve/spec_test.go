@@ -34,19 +34,46 @@ func TestCompileEquivalence(t *testing.T) {
 	}
 	keys := make([]string, 0, 3)
 	for i, js := range []*JobSpec{fields, text, override} {
-		spec, err := js.Compile()
+		spec, cells, err := js.Compile()
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
-		key, err := SpecKey(spec)
-		if err != nil {
-			t.Fatalf("spec %d: %v", i, err)
-		}
-		keys = append(keys, key)
+		keys = append(keys, SpecKey(spec, cells))
 	}
 	if keys[0] != keys[1] || keys[1] != keys[2] {
 		t.Errorf("equivalent submissions hashed differently:\n fields   %s\n text     %s\n override %s",
 			keys[0], keys[1], keys[2])
+	}
+	if keys[0] != equivalenceKey {
+		t.Errorf("equivalence fixture key = %s, want the pinned %s", keys[0], equivalenceKey)
+	}
+}
+
+// Pinned spec keys. orserved names each spec's state directory after its
+// key, so a key that changes orphans every persisted artifact and
+// checkpoint of that spec.
+const (
+	// equivalenceKey is TestCompileEquivalence's grid.
+	equivalenceKey = "de6d35093b52442678a47a15d5103ef447b171151b65b5b2b17292f40e5c29e1"
+	// smokeKey is the smoke grid of make smoke / serve-smoke / fabric-smoke.
+	smokeKey = "be129bda314e1e121bbfc5c6fd62505be2ca280a7ff8ba674618e7d07fcc49b8"
+)
+
+// TestSmokeSpecKeyPinned: the smoke grid keys the same in every spelling
+// and matches the pinned constant.
+func TestSmokeSpecKeyPinned(t *testing.T) {
+	for _, js := range []*JobSpec{
+		{Years: []string{"2018", "2013"}, Loss: []string{"none", "loss:0.2"}, Shift: 14, Seed: 1},
+		{SpecText: "years 2018 2013\nloss none loss:0.2\nshift 14\nseed 1\n"},
+		{SpecText: "mode sim\nyears 2018\nyears 2013\nloss none\nloss loss:0.2\nretry 0\nworkers 1\nmax-events 2097152\n"},
+	} {
+		spec, cells, err := js.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key := SpecKey(spec, cells); key != smokeKey {
+			t.Errorf("smoke grid %+v keyed %s, want the pinned %s", js, key, smokeKey)
+		}
 	}
 }
 
@@ -59,15 +86,11 @@ func TestCompileDistinguishesSeeds(t *testing.T) {
 	}
 	key := func(js *JobSpec) string {
 		t.Helper()
-		spec, err := js.Compile()
+		spec, cells, err := js.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := SpecKey(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
+		return SpecKey(spec, cells)
 	}
 	ref := key(base())
 	seed := base()
@@ -95,7 +118,7 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 		{SpecText: "retry 2+adaptive\nretry 2+adaptive\n#x"}, // duplicate retry
 	}
 	for i, js := range bad {
-		if _, err := js.Compile(); err == nil {
+		if _, _, err := js.Compile(); err == nil {
 			t.Errorf("bad spec %d compiled without error", i)
 		}
 	}

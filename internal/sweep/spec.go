@@ -66,15 +66,12 @@ func (l LossVal) Pristine() bool { return len(l.Imps) == 0 }
 // ParseLoss parses a loss axis value through the same impairment grammar
 // the campaign CLIs expose; "none" and "" mean the pristine network.
 func ParseLoss(s string) (LossVal, error) {
-	if s == "" || s == "none" {
-		return LossVal{Label: "none"}, nil
+	if s == "" {
+		s = "none"
 	}
 	imps, err := netsim.ParseImpairments(s)
 	if err != nil {
 		return LossVal{}, fmt.Errorf("sweep: loss %q: %w", s, err)
-	}
-	if len(imps) == 0 {
-		return LossVal{Label: "none"}, nil
 	}
 	return LossVal{Label: s, Imps: imps}, nil
 }
@@ -281,104 +278,128 @@ func (s *Spec) Cells() ([]Cell, error) {
 	return cells, nil
 }
 
+// Set applies one directive of the spec-file grammar to s. Axis
+// directives (years, loss, retry, workers) take one or more values and
+// append them; scalar directives (mode, shift, seed, pps, max-events) take
+// exactly one value and replace the current one. It is the one parser of
+// grid text: ParseSpecFile, orsweep's flags and serve.JobSpec all apply
+// their directives through it, and whole-grid validation stays in Cells.
+func (s *Spec) Set(directive string, vals ...string) error {
+	switch directive {
+	case "years", "loss", "retry", "workers":
+		if len(vals) == 0 {
+			return fmt.Errorf("sweep: axis %q has no values", directive)
+		}
+	default:
+		if len(vals) != 1 {
+			return fmt.Errorf("sweep: directive %q wants exactly one value", directive)
+		}
+	}
+	for _, v := range vals {
+		if err := s.set(directive, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Override is Set for a front end whose values replace the spec file's:
+// an axis directive first clears the axis, so its values are the axis.
+func (s *Spec) Override(directive string, vals ...string) error {
+	switch directive {
+	case "years":
+		s.Years = nil
+	case "loss":
+		s.Loss = nil
+	case "retry":
+		s.Retry = nil
+	case "workers":
+		s.Workers = nil
+	}
+	return s.Set(directive, vals...)
+}
+
+// set applies one value of one directive.
+func (s *Spec) set(directive, v string) error {
+	switch directive {
+	case "years":
+		y, err := ParseYear(v)
+		if err != nil {
+			return err
+		}
+		s.Years = append(s.Years, y)
+	case "loss":
+		l, err := ParseLoss(v)
+		if err != nil {
+			return err
+		}
+		s.Loss = append(s.Loss, l)
+	case "retry":
+		p, err := ParseRetryPolicy(v)
+		if err != nil {
+			return err
+		}
+		s.Retry = append(s.Retry, p)
+	case "workers":
+		w, err := strconv.Atoi(v)
+		if err != nil || w < 0 {
+			return fmt.Errorf("sweep: workers %q: want a non-negative integer", v)
+		}
+		s.Workers = append(s.Workers, w)
+	case "mode":
+		s.Mode = v
+	case "shift":
+		n, err := strconv.ParseUint(v, 10, 8)
+		if err != nil {
+			return fmt.Errorf("sweep: shift %q: %w", v, err)
+		}
+		s.Shift = uint8(n)
+	case "seed":
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return fmt.Errorf("sweep: seed %q: %w", v, err)
+		}
+		s.Seed = n
+	case "pps":
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return fmt.Errorf("sweep: pps %q: %w", v, err)
+		}
+		s.PPS = n
+	case "max-events":
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			return fmt.Errorf("sweep: max-events %q: want a non-negative integer", v)
+		}
+		s.MaxEvents = n
+	default:
+		return fmt.Errorf("sweep: unknown directive %q", directive)
+	}
+	return nil
+}
+
 // ParseSpecFile reads the small text grid format: one directive per line,
-// values space-separated, '#' comments. Axis directives (years, loss,
-// retry, workers) append across repeated lines; scalar directives (mode,
-// shift, seed, pps, max-events) take the last value. Example:
+// values space-separated, '#' comments, each line applied through Set
+// (axis lines append, scalar lines take the last value). Example:
 //
 //	# 2×2 robustness grid
 //	mode sim
 //	shift 14
 //	years 2018 2013
-//	loss none ge:0.05,0.2,0.125,1.0
+//	loss none ge:0.05,0.2,0.125,1
 //	retry 0 5+adaptive+backoff
 //	workers 1
 func ParseSpecFile(r io.Reader) (*Spec, error) {
 	s := &Spec{}
 	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if i := strings.IndexByte(text, '#'); i >= 0 {
-			text = text[:i]
-		}
+	for line := 1; sc.Scan(); line++ {
+		text, _, _ := strings.Cut(sc.Text(), "#")
 		fields := strings.Fields(text)
 		if len(fields) == 0 {
 			continue
 		}
-		dir, vals := fields[0], fields[1:]
-		fail := func(err error) (*Spec, error) {
+		if err := s.Set(fields[0], fields[1:]...); err != nil {
 			return nil, fmt.Errorf("sweep: spec line %d: %w", line, err)
-		}
-		isAxis := dir == "years" || dir == "loss" || dir == "retry" || dir == "workers"
-		if isAxis && len(vals) == 0 {
-			return fail(fmt.Errorf("axis %q has no values", dir))
-		}
-		if !isAxis && len(vals) != 1 {
-			return fail(fmt.Errorf("directive %q wants exactly one value", dir))
-		}
-		switch dir {
-		case "years":
-			for _, v := range vals {
-				y, err := ParseYear(v)
-				if err != nil {
-					return fail(err)
-				}
-				s.Years = append(s.Years, y)
-			}
-		case "loss":
-			for _, v := range vals {
-				l, err := ParseLoss(v)
-				if err != nil {
-					return fail(err)
-				}
-				s.Loss = append(s.Loss, l)
-			}
-		case "retry":
-			for _, v := range vals {
-				p, err := ParseRetryPolicy(v)
-				if err != nil {
-					return fail(err)
-				}
-				s.Retry = append(s.Retry, p)
-			}
-		case "workers":
-			for _, v := range vals {
-				w, err := strconv.Atoi(v)
-				if err != nil || w < 0 {
-					return fail(fmt.Errorf("workers %q: want a non-negative integer", v))
-				}
-				s.Workers = append(s.Workers, w)
-			}
-		case "mode":
-			s.Mode = vals[0]
-		case "shift":
-			n, err := strconv.ParseUint(vals[0], 10, 8)
-			if err != nil {
-				return fail(fmt.Errorf("shift %q: %w", vals[0], err))
-			}
-			s.Shift = uint8(n)
-		case "seed":
-			n, err := strconv.ParseInt(vals[0], 10, 64)
-			if err != nil {
-				return fail(fmt.Errorf("seed %q: %w", vals[0], err))
-			}
-			s.Seed = n
-		case "pps":
-			n, err := strconv.ParseUint(vals[0], 10, 64)
-			if err != nil {
-				return fail(fmt.Errorf("pps %q: %w", vals[0], err))
-			}
-			s.PPS = n
-		case "max-events":
-			n, err := strconv.Atoi(vals[0])
-			if err != nil || n < 0 {
-				return fail(fmt.Errorf("max-events %q: want a non-negative integer", vals[0]))
-			}
-			s.MaxEvents = n
-		default:
-			return fail(fmt.Errorf("unknown directive %q", dir))
 		}
 	}
 	if err := sc.Err(); err != nil {

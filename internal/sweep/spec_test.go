@@ -263,3 +263,56 @@ workers 4   # axis lines append
 		})
 	}
 }
+
+// TestSpecSet pins the directive semantics every front end shares: axis
+// directives append, scalar directives replace, Override clears an axis
+// first, and every error names the directive or the bad value.
+func TestSpecSet(t *testing.T) {
+	var s Spec
+	for _, d := range [][]string{
+		{"years", "2018"}, {"years", "2013", "2015.5"},
+		{"loss", "none"}, {"loss", "loss:0.2"},
+		{"retry", "0", "2+adaptive"},
+		{"workers", "1"}, {"workers", "4"},
+		{"shift", "12"}, {"shift", "15"},
+		{"seed", "3"}, {"pps", "5000"}, {"max-events", "99"}, {"mode", "sim"},
+	} {
+		if err := s.Set(d[0], d[1:]...); err != nil {
+			t.Fatalf("Set(%q) = %v", d, err)
+		}
+	}
+	if len(s.Years) != 3 || len(s.Loss) != 2 || len(s.Retry) != 2 || len(s.Workers) != 2 {
+		t.Errorf("axes did not append: %+v", s)
+	}
+	if s.Shift != 15 || s.Seed != 3 || s.PPS != 5000 || s.MaxEvents != 99 || s.Mode != "sim" {
+		t.Errorf("scalars = %+v", s)
+	}
+	if err := s.Override("years", "2013"); err != nil || len(s.Years) != 1 || s.Years[0].Label != "2013" {
+		t.Errorf("Override(years 2013) = %v, axis %+v", err, s.Years)
+	}
+	if err := s.Override("seed", "9"); err != nil || s.Seed != 9 {
+		t.Errorf("Override(seed 9) = %v, seed %d", err, s.Seed)
+	}
+
+	for _, tc := range []struct {
+		dir     string
+		vals    []string
+		wantErr string
+	}{
+		{"speed", []string{"9"}, `"speed"`},
+		{"loss", nil, `"loss"`},
+		{"seed", []string{"1", "2"}, `"seed"`},
+		{"years", []string{"2018", "1999"}, `"1999"`},
+		{"loss", []string{"bogus:1"}, `"bogus:1"`},
+		{"retry", []string{"1+turbo"}, `"1+turbo"`},
+		{"workers", []string{"-3"}, `workers "-3"`},
+		{"shift", []string{"256"}, `shift "256"`},
+		{"seed", []string{"1.5"}, `seed "1.5"`},
+		{"pps", []string{"-1"}, `pps "-1"`},
+		{"max-events", []string{"-1"}, `max-events "-1"`},
+	} {
+		if err := new(Spec).Set(tc.dir, tc.vals...); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("Set(%q, %q) err = %v, want containing %s", tc.dir, tc.vals, err, tc.wantErr)
+		}
+	}
+}
